@@ -27,7 +27,18 @@
 //!   RNEA/FD/∇ID multifunction family tape, the largest tape the
 //!   serving path JIT-enables (`RobotPlan::with_tier(.., Jit)`).
 //!
-//! Results (median ns per state), the speedup ratios, and the host
+//! * `netlist_interp_sweep` / `netlist_interp_ref_sweep` vs
+//!   `netlist_compiled_sweep` — one state through each of the 14
+//!   superposed iiwa `X·`/`Xᵀ·` unit netlists (the circuits the
+//!   simulator's `XUnit`s execute), per sweep: the string-keyed
+//!   `Netlist::eval` oracle (HashMap lookups, a fresh value vector,
+//!   per-call constant conversion), its borrowed-output `eval_ref`, and
+//!   `CompiledNetlist::eval_into` on a warm workspace. The ratio
+//!   `compiled_vs_netlist_interp` is gated (acceptance floor ≥ 2×).
+//! * `tape_engine_batch` — the §4 example unit's compiled tape streaming
+//!   a batch through the shared `BatchEngine` (`eval_batch`), per state.
+//!
+//! Results (median ns per state or sweep), the speedup ratios, and the host
 //! provenance block go to `BENCH_10.json` at the repository root
 //! (override with `BENCH_OUT`). `BENCH_QUICK=1` shrinks the run for CI
 //! and `BENCH_TRIALS=N` repeats it for the confidence-interval gate;
@@ -37,13 +48,23 @@
 //! tape transparently runs threaded; the bench prints a warning and the
 //! ratios degrade to ~1.0 — the gate only runs on the x86-64 CI runner.
 
-use robo_bench::harness::{self, tape_states, time_median_ns_interleaved, BenchEnv};
+use robo_bench::harness::{
+    self, tape_states, time_median_ns, time_median_ns_interleaved, BenchEnv,
+};
 use robo_bench::report::{speedup, BenchReport, HostInfo};
-use robo_codegen::{generate_kernel_family, generate_x_pipeline, optimize, CompiledNetlist};
+use robo_codegen::{
+    generate_kernel_family, generate_x_pipeline, generate_x_unit_with_mask,
+    generate_xt_unit_with_mask, optimize, CompiledNetlist, EvalWorkspace, Netlist,
+};
+use robo_dynamics::batch::BatchEngine;
 use robo_dynamics::engine::KernelKind;
-use robo_model::robots;
-use robo_sparsity::superposition_pattern;
+use robo_model::{robots, RobotModel};
+use robo_sparsity::{superposition_pattern, Mask6};
+use std::collections::HashMap;
 use std::hint::black_box;
+
+/// 14-unit sweeps per timing sample in [`netlist_sweeps`].
+const SWEEPS_PER_SAMPLE: usize = 8;
 
 /// A per-state scalar sweep of `tape` over `states` as a timing closure
 /// (each alternative owns its register file so the sweeps interleave).
@@ -126,6 +147,8 @@ fn run_once(env: &BenchEnv) -> BenchReport {
     report.record_speedup("jit_vs_interp", tape_interp / tape_jit);
     report.record_speedup("family_jit_vs_threaded", family_threaded / family_jit_ns);
 
+    netlist_sweeps(env, &robot, sup, &mut report);
+
     match jit_tape.jit_report() {
         Some(r) => println!(
             "jit_throughput: pipeline tape stitched: {} blocks, {} code bytes, {} patches",
@@ -133,20 +156,86 @@ fn run_once(env: &BenchEnv) -> BenchReport {
         ),
         None => println!("jit_throughput: pipeline tape runs threaded (no JIT)"),
     }
-    for (name, ns) in [
-        ("tape_interp_scalar", tape_interp),
-        ("tape_threaded_scalar", tape_threaded),
-        ("tape_jit_scalar", tape_jit),
-        ("family_threaded_scalar", family_threaded),
-        ("family_jit_scalar", family_jit_ns),
-    ] {
-        println!("jit_throughput/{name:<24} median: {ns:10.1} ns/state");
+    for (name, ns) in report.medians() {
+        println!("jit_throughput/{name:<24} median: {ns:10.1} ns");
     }
-    for name in ["jit_vs_threaded", "jit_vs_interp", "family_jit_vs_threaded"] {
-        let ratio = report.speedup_of(name).expect("just recorded");
-        println!("jit_throughput/{name:<24} speedup: {}", speedup(ratio));
+    for (name, ratio) in report.speedups() {
+        println!("jit_throughput/{name:<24} speedup: {}", speedup(*ratio));
     }
     report
+}
+
+/// The `Netlist::eval` interpreter vs the compiled tape on every
+/// superposed iiwa unit netlist, and the batch-engine tape sweep.
+fn netlist_sweeps(env: &BenchEnv, robot: &RobotModel, sup: Mask6, report: &mut BenchReport) {
+    let units: Vec<Netlist> = (0..robot.dof())
+        .flat_map(|j| {
+            [
+                generate_x_unit_with_mask(robot, j, sup),
+                generate_xt_unit_with_mask(robot, j, sup),
+            ]
+        })
+        .collect();
+    let compiled: Vec<CompiledNetlist<f64>> = units
+        .iter()
+        .map(|u| CompiledNetlist::compile(&optimize(u)))
+        .collect();
+    let vals = tape_states(units.len(), compiled[0].input_names().len());
+    let maps: Vec<HashMap<String, f64>> = compiled
+        .iter()
+        .zip(&vals)
+        .map(|(c, v)| {
+            c.input_names()
+                .iter()
+                .cloned()
+                .zip(v.iter().copied())
+                .collect()
+        })
+        .collect();
+
+    let mut ws = EvalWorkspace::new();
+    let mut out = vec![0.0_f64; compiled[0].num_outputs()];
+    let medians = time_median_ns_interleaved(
+        env.reps,
+        SWEEPS_PER_SAMPLE,
+        &mut [
+            &mut || {
+                for _ in 0..SWEEPS_PER_SAMPLE {
+                    for (unit, inputs) in units.iter().zip(&maps) {
+                        black_box(unit.eval::<f64>(inputs).expect("inputs cover the unit"));
+                    }
+                }
+            },
+            &mut || {
+                for _ in 0..SWEEPS_PER_SAMPLE {
+                    for (unit, inputs) in units.iter().zip(&maps) {
+                        black_box(unit.eval_ref::<f64>(inputs).expect("inputs cover the unit"));
+                    }
+                }
+            },
+            &mut || {
+                for _ in 0..SWEEPS_PER_SAMPLE {
+                    for (tape, inputs) in compiled.iter().zip(&vals) {
+                        tape.eval_into(inputs, &mut ws, &mut out);
+                        black_box(&out);
+                    }
+                }
+            },
+        ],
+    );
+    report.record_median_ns("netlist_interp_sweep", medians[0]);
+    report.record_median_ns("netlist_interp_ref_sweep", medians[1]);
+    report.record_median_ns("netlist_compiled_sweep", medians[2]);
+    report.record_speedup("compiled_vs_netlist_interp", medians[0] / medians[2]);
+
+    // Joint 1's forward unit: the §4 example circuit.
+    let tape = &compiled[2];
+    let states = tape_states(env.tape_batch, tape.input_names().len());
+    let engine = BatchEngine::global();
+    let ns = time_median_ns(env.reps, env.tape_batch, || {
+        black_box(tape.eval_batch(engine, &states));
+    });
+    report.record_median_ns("tape_engine_batch", ns);
 }
 
 fn main() {

@@ -26,7 +26,7 @@
 //! state), the speedup ratios, and the host provenance block are written
 //! to `BENCH_6.json` at the repository root (override with `BENCH_OUT`;
 //! CI's traced re-run writes `BENCH_6.traced.json`) — the CI artifact
-//! gated by `analyse`/`bench_guard`. `BENCH_QUICK=1` shrinks the run for
+//! gated by `analyse gate`. `BENCH_QUICK=1` shrinks the run for
 //! CI and `BENCH_TRIALS=N` repeats it for the confidence-interval gate;
 //! see [`robo_bench::harness`].
 

@@ -1,7 +1,6 @@
 //! Statistics for the perf-study harness: per-key medians with bootstrap
 //! confidence intervals over N trials, report tables (text + markdown),
-//! and the CI-aware regression gate that subsumes `bench_guard`'s fixed
-//! tolerance band.
+//! and the one regression gate CI runs against the committed baselines.
 //!
 //! Two input kinds feed the `analyse` binary:
 //!
@@ -10,19 +9,21 @@
 //! * Chrome-trace JSON files written by `robo-trace` — every span
 //!   instance becomes a duration sample for its span kind.
 //!
-//! The gate compares speedup ratios (and, on request, medians — only
-//! meaningful same-machine) against a baseline report. With at least
-//! [`GateConfig::DEFAULT_MIN_TRIALS`] samples per key it uses an
-//! overlapping-interval rule: the key regresses only when its whole
-//! bootstrap confidence interval falls below the baseline (with a small
-//! [`GateConfig::ci_slack`] for day-to-day machine drift). With fewer
-//! samples it falls back to the single-sample
-//! [`GuardConfig`] tolerance band
-//! (default 30%) — wide because a lone sample carries no spread
-//! information. The 1.0 "the optimized path must stay a win" floor from
-//! `bench_guard` gates in both modes.
+//! [`gate`] compares trial reports against a baseline report. Every
+//! gated baseline key must appear in at least one trial — a missing key
+//! fails, so deleting or renaming a bench cannot silently drop its gate.
+//! A key then regresses when it breaks any of three rules:
+//!
+//! * **band** — the trial median falls more than
+//!   [`GateConfig::tolerance`] (default 30%) below a baseline speedup, or
+//!   above a baseline median;
+//! * **interval** — with at least [`GateConfig::min_trials`] samples, the
+//!   whole bootstrap confidence interval clears the baseline by more than
+//!   [`GateConfig::ci_slack`] (default 10%) in the bad direction;
+//! * **floor** — a speedup the baseline records as a win (≥ 1.0) has a
+//!   median below [`GateConfig::SPEEDUP_FLOOR`]: the optimized path lost
+//!   to its fallback.
 
-use crate::regression::GuardConfig;
 use crate::report::{is_latency_key, latency_stem, median, BenchReport, Table};
 use crate::report::{LATENCY_P50_SUFFIX, LATENCY_P99_SUFFIX};
 use robo_trace::Trace;
@@ -184,162 +185,171 @@ pub fn trace_samples(traces: &[Trace]) -> KeyedSamples {
 /// baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct GateConfig {
-    /// Single-sample fallback band (and the 1.0 floor rule), identical to
-    /// `bench_guard`'s policy.
-    pub band: GuardConfig,
+    /// Band around the baseline the trial *median* must stay inside, as a
+    /// fraction: a speedup must stay ≥ baseline × (1 − this), a median
+    /// ≤ baseline × (1 + this). Wide, because it also covers a single
+    /// trial, which carries no spread information.
+    pub tolerance: f64,
     /// Relative slack under the baseline the whole CI must clear before a
     /// key counts as regressed (machine drift allowance). Much tighter
-    /// than the 30% band — the spread information is in the interval.
+    /// than the band — the spread information is in the interval.
     pub ci_slack: f64,
     /// Minimum samples per key before the interval rule applies.
     pub min_trials: usize,
 }
 
 impl GateConfig {
+    /// Default band: single-run medians on shared CI runners jitter, so a
+    /// ratio may drop 30% before the band rule fails.
+    pub const DEFAULT_TOLERANCE: f64 = 0.30;
+
     /// Default CI slack: 10%.
     pub const DEFAULT_CI_SLACK: f64 = 0.10;
 
     /// Default trials needed for the interval rule (the CI bench jobs run
     /// exactly this many).
     pub const DEFAULT_MIN_TRIALS: usize = 3;
+
+    /// A baseline speedup at or above this was a win; its trial median
+    /// must stay at or above it too, whatever the band allows.
+    pub const SPEEDUP_FLOOR: f64 = 1.0;
 }
 
 impl Default for GateConfig {
     fn default() -> Self {
         Self {
-            band: GuardConfig::default(),
+            tolerance: Self::DEFAULT_TOLERANCE,
             ci_slack: Self::DEFAULT_CI_SLACK,
             min_trials: Self::DEFAULT_MIN_TRIALS,
         }
     }
 }
 
+/// Which baseline keys [`gate`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateMode {
+    /// Speedup ratios (higher is better), plus any serving latency
+    /// percentiles (`*_p50_ns`/`*_p99_ns`) among the baseline's medians
+    /// (lower is better) — a baseline carrying latency keys is assumed to
+    /// come from the same machine class as the trials.
+    Speedups,
+    /// Every baseline median (nanoseconds, lower is better). Medians are
+    /// machine-specific, so this is only meaningful when both sides ran on
+    /// the same machine — the disabled-vs-absent tracing delta in CI.
+    Medians,
+    /// Both of the above.
+    Both,
+}
+
+impl std::str::FromStr for GateMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "speedups" => Ok(Self::Speedups),
+            "medians" => Ok(Self::Medians),
+            "both" => Ok(Self::Both),
+            _ => Err(format!("bad gate mode `{s}` (speedups|medians|both)")),
+        }
+    }
+}
+
 /// Which way a metric improves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+enum Direction {
     /// Speedup ratios: bigger is better, regressions fall below baseline.
     HigherIsBetter,
     /// Median times: smaller is better, regressions rise above baseline.
     LowerIsBetter,
 }
 
+/// Applies the band, interval and floor rules to one key, returning the
+/// first rule it breaks.
 fn gate_key(
     name: &str,
     base: f64,
     samples: &[f64],
     direction: Direction,
     config: GateConfig,
-    failures: &mut Vec<String>,
-) {
-    let stats = Stats::from_samples(samples);
-    let ci_mode = samples.len() >= config.min_trials;
-    let (tol, probe) = if ci_mode {
-        // Overlapping-interval rule: only regressed when the *entire*
-        // CI clears the baseline in the bad direction.
-        let probe = match direction {
-            Direction::HigherIsBetter => stats.hi,
-            Direction::LowerIsBetter => stats.lo,
-        };
-        (config.ci_slack, probe)
-    } else {
-        (config.band.speedup_tolerance, stats.median)
+) -> Option<String> {
+    let s = Stats::from_samples(samples);
+    let (kind, unit, ci_edge) = match direction {
+        Direction::HigherIsBetter => ("speedup", "x", s.hi),
+        Direction::LowerIsBetter => ("median", " ns", s.lo),
     };
-    let mode = if ci_mode {
-        format!("95% CI {} of {} trials", stats.interval(), stats.n)
-    } else {
-        format!("{} trial(s), {:.0}% band", stats.n, tol * 100.0)
+    let limit = |slack: f64| match direction {
+        Direction::HigherIsBetter => base * (1.0 - slack),
+        Direction::LowerIsBetter => base * (1.0 + slack),
     };
-    match direction {
-        Direction::HigherIsBetter => {
-            let allowed = base * (1.0 - tol);
-            if probe < allowed {
-                failures.push(format!(
-                    "speedup `{name}` regressed: median {:.3}x vs baseline {base:.3}x \
-                     (allowed ≥ {allowed:.3}x; {mode})",
-                    stats.median
-                ));
-            } else if base >= config.band.speedup_floor && stats.median < config.band.speedup_floor
-            {
-                failures.push(format!(
-                    "speedup `{name}` fell below the floor: median {:.3}x < {:.3}x \
-                     (baseline {base:.3}x was a win; the optimized path lost to its fallback)",
-                    stats.median, config.band.speedup_floor
-                ));
-            }
-        }
-        Direction::LowerIsBetter => {
-            let allowed = base * (1.0 + tol);
-            if probe > allowed {
-                failures.push(format!(
-                    "median `{name}` regressed: {:.1} ns vs baseline {base:.1} ns \
-                     (allowed ≤ {allowed:.1} ns; {mode})",
-                    stats.median
-                ));
-            }
-        }
+    let worse = |value: f64, limit: f64| match direction {
+        Direction::HigherIsBetter => value < limit,
+        Direction::LowerIsBetter => value > limit,
+    };
+    let (band, slack) = (limit(config.tolerance), limit(config.ci_slack));
+    let head = format!(
+        "{kind} `{name}` regressed: median {:.3}{unit} vs baseline {base:.3}{unit}",
+        s.median
+    );
+    if worse(s.median, band) {
+        Some(format!(
+            "{head} (outside the {:.0}% band, limit {band:.3}{unit}; {} trial(s))",
+            config.tolerance * 100.0,
+            s.n
+        ))
+    } else if s.n >= config.min_trials && worse(ci_edge, slack) {
+        Some(format!(
+            "{head} (whole 95% CI {} of {} trials beyond the {:.0}% slack, limit {slack:.3}{unit})",
+            s.interval(),
+            s.n,
+            config.ci_slack * 100.0
+        ))
+    } else if direction == Direction::HigherIsBetter
+        && base >= GateConfig::SPEEDUP_FLOOR
+        && s.median < GateConfig::SPEEDUP_FLOOR
+    {
+        Some(format!(
+            "speedup `{name}` fell below the floor: median {:.3}x < {:.3}x \
+             (baseline {base:.3}x was a win; the optimized path lost to its fallback)",
+            s.median,
+            GateConfig::SPEEDUP_FLOOR
+        ))
+    } else {
+        None
     }
 }
 
-/// Gates current trial speedups against the baseline report's ratios.
+/// Gates trial reports against a baseline report, returning one message
+/// per regressed or missing key (empty means the gate passes).
 ///
-/// Only keys present in both the baseline and at least one trial gate —
-/// adding or renaming benches never trips the gate. Zero-valued baseline
-/// entries are skipped (a zero-time span yields meaningless ratios).
-pub fn gate_speedups(
+/// Every baseline key `mode` selects must have at least one trial sample,
+/// or the gate fails naming it. Keys only the trials carry never gate.
+/// Zero-valued baseline entries are skipped (a zero-time span yields
+/// meaningless ratios).
+pub fn gate(
     baseline: &BenchReport,
     trials: &[BenchReport],
+    mode: GateMode,
     config: GateConfig,
 ) -> Vec<String> {
-    let (_, speedups) = bench_samples(trials);
-    let mut failures = Vec::new();
-    for (name, base) in baseline.speedups() {
-        if *base == 0.0 {
-            continue;
-        }
-        if let Some(samples) = speedups.get(name) {
-            gate_key(
-                name,
-                *base,
-                samples,
-                Direction::HigherIsBetter,
-                config,
-                &mut failures,
-            );
-        }
-    }
-    failures
-}
-
-/// Gates current trial medians (nanoseconds, lower is better) against the
-/// baseline report's medians.
-///
-/// Medians are machine-specific, so this is only meaningful when both
-/// sides ran on the same machine — the disabled-vs-absent tracing delta
-/// in CI, where baseline and current come from the same job. Zero-valued
-/// baseline medians are skipped.
-pub fn gate_medians(
-    baseline: &BenchReport,
-    trials: &[BenchReport],
-    config: GateConfig,
-) -> Vec<String> {
-    let (medians, _) = bench_samples(trials);
-    let mut failures = Vec::new();
-    for (name, base) in baseline.medians() {
-        if *base == 0.0 {
-            continue;
-        }
-        if let Some(samples) = medians.get(name) {
-            gate_key(
-                name,
-                *base,
-                samples,
-                Direction::LowerIsBetter,
-                config,
-                &mut failures,
-            );
-        }
-    }
-    failures
+    let (medians, speedups) = bench_samples(trials);
+    let speedup_keys = baseline
+        .speedups()
+        .filter(|_| mode != GateMode::Medians)
+        .map(|(name, base)| (name, *base, speedups.get(name), Direction::HigherIsBetter));
+    let median_keys = baseline
+        .medians()
+        .filter(|(name, _)| mode != GateMode::Speedups || is_latency_key(name))
+        .map(|(name, base)| (name, *base, medians.get(name), Direction::LowerIsBetter));
+    speedup_keys
+        .chain(median_keys)
+        .filter(|(_, base, _, _)| *base != 0.0)
+        .filter_map(|(name, base, samples, direction)| match samples {
+            Some(samples) => gate_key(name, base, samples, direction, config),
+            None => Some(format!(
+                "key `{name}` missing: the baseline records {base:.3} but no trial does"
+            )),
+        })
+        .collect()
 }
 
 /// Renders the per-key median/CI table for N bench trial reports.
@@ -483,20 +493,28 @@ mod tests {
         assert_eq!(Stats::from_samples(&data), Stats::from_samples(&data));
     }
 
+    fn speedups(base: &BenchReport, trials: &[BenchReport]) -> Vec<String> {
+        gate(base, trials, GateMode::Speedups, GateConfig::default())
+    }
+
+    fn medians(base: &BenchReport, trials: &[BenchReport]) -> Vec<String> {
+        gate(base, trials, GateMode::Medians, GateConfig::default())
+    }
+
     #[test]
     fn gate_passes_matching_trials_and_fails_injected_slowdown() {
         let base = report(&[], &[("wide_vs_scalar", 2.0)]);
         let good: Vec<BenchReport> = (0..3)
             .map(|i| report(&[], &[("wide_vs_scalar", 1.95 + 0.05 * i as f64)]))
             .collect();
-        assert!(gate_speedups(&base, &good, GateConfig::default()).is_empty());
+        assert!(speedups(&base, &good).is_empty());
 
-        // The injected slowdown this PR must demonstrate: every trial's
-        // ratio collapses, the whole CI sits far below baseline → exit 1.
+        // Every trial's ratio collapses, as if the wide path silently fell
+        // back to scalar: the gate must fail.
         let slow: Vec<BenchReport> = (0..3)
             .map(|i| report(&[], &[("wide_vs_scalar", 0.9 + 0.01 * i as f64)]))
             .collect();
-        let failures = gate_speedups(&base, &slow, GateConfig::default());
+        let failures = speedups(&base, &slow);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("wide_vs_scalar"));
         assert!(failures[0].contains("regressed"));
@@ -504,58 +522,119 @@ mod tests {
 
     #[test]
     fn interval_rule_tolerates_one_noisy_trial() {
-        // Median dip below the old 30% band edge, but one good trial keeps
-        // the CI overlapping the baseline: the interval rule passes where
-        // a single-sample band check on the worst trial would fail.
+        // The worst trial alone is 40% under baseline, but the median stays
+        // inside the band and the good trials keep the CI overlapping it.
         let base = report(&[], &[("wide_vs_scalar", 2.0)]);
-        let noisy = [1.2, 1.3, 2.1].map(|v| report(&[], &[("wide_vs_scalar", v)]));
-        assert!(gate_speedups(&base, &noisy, GateConfig::default()).is_empty());
+        let noisy = [1.2, 1.9, 2.1].map(|v| report(&[], &[("wide_vs_scalar", v)]));
+        assert!(speedups(&base, &noisy).is_empty());
     }
 
     #[test]
-    fn single_trial_falls_back_to_the_band() {
+    fn median_outside_the_band_fails_even_when_the_interval_overlaps() {
+        // Trials at 0.5x, 0.6x and 1.0x of baseline: the bootstrap CI
+        // reaches the baseline, so the interval rule alone passes, but the
+        // median sits 40% under it.
+        let base = report(&[], &[("wide_vs_scalar", 2.0)]);
+        let values = [1.0, 1.2, 2.0];
+        assert!(Stats::from_samples(&values).hi >= 2.0 * (1.0 - GateConfig::DEFAULT_CI_SLACK));
+        let trials = values.map(|v| report(&[], &[("wide_vs_scalar", v)]));
+        let failures = speedups(&base, &trials);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("wide_vs_scalar"));
+        assert!(failures[0].contains("band"));
+    }
+
+    #[test]
+    fn whole_interval_under_the_slack_fails_inside_the_band() {
+        // A consistent 20% drop: inside the 30% band, but every trial is
+        // below baseline × 0.9.
+        let base = report(&[], &[("wide_vs_scalar", 2.0)]);
+        let trials = [1.58, 1.6, 1.62].map(|v| report(&[], &[("wide_vs_scalar", v)]));
+        let failures = speedups(&base, &trials);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("95% CI"));
+    }
+
+    #[test]
+    fn single_trial_is_gated_by_the_band() {
         let base = report(&[], &[("wide_vs_scalar", 2.0)]);
         // 25% drop: inside the 30% band → pass.
-        let ok = [report(&[], &[("wide_vs_scalar", 1.5)])];
-        assert!(gate_speedups(&base, &ok, GateConfig::default()).is_empty());
-        // 40% drop: outside the band → fail, message names the band mode.
-        let bad = [report(&[], &[("wide_vs_scalar", 1.2)])];
-        let failures = gate_speedups(&base, &bad, GateConfig::default());
+        assert!(speedups(&base, &[report(&[], &[("wide_vs_scalar", 1.5)])]).is_empty());
+        // 40% drop: outside the band → fail, message names the band.
+        let failures = speedups(&base, &[report(&[], &[("wide_vs_scalar", 1.2)])]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("band"));
     }
 
     #[test]
-    fn floor_rule_gates_in_interval_mode_too() {
+    fn floor_rule_gates_in_both_modes() {
         let base = report(&[], &[("wide_vs_scalar", 1.1)]);
-        // Drops under 1.0 but within 10% slack of baseline at the CI edge:
-        // the floor still catches the win turning into a loss.
+        // Drops under 1.0 but stays inside the band and the CI slack: the
+        // floor still catches the win turning into a loss.
         let lost = [0.98, 0.99, 1.0].map(|v| report(&[], &[("wide_vs_scalar", v)]));
-        let failures = gate_speedups(&base, &lost, GateConfig::default());
+        let failures = speedups(&base, &lost);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("floor"));
+        let failures = speedups(&base, &[report(&[], &[("wide_vs_scalar", 0.99)])]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("floor"));
     }
 
     #[test]
-    fn missing_and_zero_keys_never_gate() {
-        let base = report(
-            &[("zero_bench", 0.0)],
-            &[("removed_bench", 9.0), ("zero_ratio", 0.0)],
-        );
+    fn zero_keys_and_trial_only_keys_never_gate() {
+        let base = report(&[("zero_bench", 0.0)], &[("zero_ratio", 0.0)]);
         let cur = [report(&[("other", 5.0)], &[("brand_new", 0.1)])];
-        assert!(gate_speedups(&base, &cur, GateConfig::default()).is_empty());
-        assert!(gate_medians(&base, &cur, GateConfig::default()).is_empty());
+        assert!(speedups(&base, &cur).is_empty());
+        assert!(medians(&base, &cur).is_empty());
+    }
+
+    #[test]
+    fn missing_baseline_key_fails_and_names_it() {
+        // A deleted or renamed bench must not drop its gate silently.
+        let base = report(&[("tape_native", 100.0)], &[("removed_bench", 9.0)]);
+        let cur = [report(&[("other", 5.0)], &[("brand_new", 0.1)])];
+        let failures = speedups(&base, &cur);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("`removed_bench` missing"));
+        let failures = medians(&base, &cur);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("`tape_native` missing"));
     }
 
     #[test]
     fn median_gate_is_lower_is_better() {
         let base = report(&[("tape_native", 100.0)], &[]);
         let faster = [90.0, 95.0, 92.0].map(|v| report(&[("tape_native", v)], &[]));
-        assert!(gate_medians(&base, &faster, GateConfig::default()).is_empty());
+        assert!(medians(&base, &faster).is_empty());
         let slower = [150.0, 155.0, 149.0].map(|v| report(&[("tape_native", v)], &[]));
-        let failures = gate_medians(&base, &slower, GateConfig::default());
+        let failures = medians(&base, &slower);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("tape_native"));
+    }
+
+    #[test]
+    fn speedup_mode_gates_latency_percentiles_but_not_plain_medians() {
+        let base = report(
+            &[("serve_iiwa14_c4_p99_ns", 90_000.0), ("some_bench", 123.4)],
+            &[],
+        );
+        // A tripled plain median never gates in speedup mode (and its
+        // absence is no failure); tail latency inside the band passes.
+        let ok = [report(
+            &[("serve_iiwa14_c4_p99_ns", 100_000.0), ("some_bench", 370.2)],
+            &[],
+        )];
+        assert!(speedups(&base, &ok).is_empty());
+        let slow = [report(&[("serve_iiwa14_c4_p99_ns", 180_000.0)], &[])];
+        let failures = speedups(&base, &slow);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("serve_iiwa14_c4_p99_ns"));
+    }
+
+    #[test]
+    fn gate_mode_parses() {
+        assert_eq!("both".parse::<GateMode>(), Ok(GateMode::Both));
+        assert!("all".parse::<GateMode>().is_err());
     }
 
     #[test]
@@ -611,10 +690,10 @@ mod tests {
         let base = report(&[("serve_iiwa14_c4_p99_ns", 90_000.0)], &[]);
         let good =
             [88_000.0, 91_000.0, 90_000.0].map(|v| report(&[("serve_iiwa14_c4_p99_ns", v)], &[]));
-        assert!(gate_medians(&base, &good, GateConfig::default()).is_empty());
+        assert!(medians(&base, &good).is_empty());
         let slow = [180_000.0, 185_000.0, 179_000.0]
             .map(|v| report(&[("serve_iiwa14_c4_p99_ns", v)], &[]));
-        let failures = gate_medians(&base, &slow, GateConfig::default());
+        let failures = medians(&base, &slow);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("serve_iiwa14_c4_p99_ns"));
     }

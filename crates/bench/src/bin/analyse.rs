@@ -15,21 +15,17 @@
 //! prints the median/CI tables — and writes them as markdown when
 //! `--markdown` is given (the CI artifact). Serving latency percentiles
 //! (`*_p50_ns`/`*_p99_ns` medians from `load_serve`) render as their own
-//! paired p50/p99 table, in µs, lower is better. `gate` compares bench trials
-//! against a committed baseline with the policy in
-//! [`robo_bench::analyse`]: with ≥ `--min-trials` trials per key, the
-//! bootstrap-CI overlap rule; below that, `bench_guard`'s fixed
-//! tolerance band. `--gate medians` switches to lower-is-better median
-//! gating — only meaningful same-machine, e.g. CI's disabled-vs-absent
-//! tracing-overhead check, which runs both variants in one job and
-//! gates with a generous `--tolerance 0.5`.
+//! paired p50/p99 table, in µs, lower is better. `gate` compares bench
+//! trials against a committed baseline with the band, interval and floor
+//! rules of [`robo_bench::analyse`]; a baseline key no trial carries
+//! fails. `--gate medians` switches to lower-is-better median gating —
+//! only meaningful same-machine, e.g. CI's disabled-vs-absent
+//! tracing-overhead check, which runs both variants in one job and gates
+//! with a generous `--tolerance 0.5`.
 //!
 //! Exit codes: 0 ok, 1 regression, 2 usage or I/O error.
 
-use robo_bench::analyse::{
-    bench_table, gate_medians, gate_speedups, latency_table, trace_table, GateConfig,
-};
-use robo_bench::regression::parse_report;
+use robo_bench::analyse::{bench_table, gate, latency_table, trace_table, GateConfig, GateMode};
 use robo_bench::report::BenchReport;
 use robo_trace::Trace;
 use std::path::Path;
@@ -60,7 +56,7 @@ fn load(path: &str) -> Input {
         )
     } else {
         Input::Bench(
-            parse_report(&text)
+            BenchReport::from_json(&text)
                 .unwrap_or_else(|e| fail(&format!("cannot parse report {path}: {e}"))),
         )
     }
@@ -133,7 +129,7 @@ fn cmd_gate(args: &[String]) {
     let mut baseline: Option<String> = None;
     let mut trials = Vec::new();
     let mut config = GateConfig::default();
-    let mut which = "speedups".to_owned();
+    let mut mode = GateMode::Speedups;
     let mut i = 0;
     while i < args.len() {
         let flag_value = |i: &mut usize, name: &str| -> String {
@@ -145,16 +141,13 @@ fn cmd_gate(args: &[String]) {
         match args[i].as_str() {
             "--baseline" => baseline = Some(flag_value(&mut i, "--baseline")),
             "--gate" => {
-                which = flag_value(&mut i, "--gate");
-                if !matches!(which.as_str(), "speedups" | "medians" | "both") {
-                    fail(&format!(
-                        "bad --gate mode `{which}` (speedups|medians|both)"
-                    ));
-                }
+                mode = flag_value(&mut i, "--gate")
+                    .parse()
+                    .unwrap_or_else(|e: String| fail(&e));
             }
             "--tolerance" => {
                 let v = flag_value(&mut i, "--tolerance");
-                config.band.speedup_tolerance = v
+                config.tolerance = v
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("bad tolerance `{v}`")));
             }
@@ -200,21 +193,14 @@ fn cmd_gate(args: &[String]) {
         .render()
     );
 
-    let mut failures = Vec::new();
-    if which == "speedups" || which == "both" {
-        failures.extend(gate_speedups(&base, &bench_trials, config));
-    }
-    if which == "medians" || which == "both" {
-        failures.extend(gate_medians(&base, &bench_trials, config));
-    }
+    let failures = gate(&base, &bench_trials, mode, config);
     if failures.is_empty() {
         println!(
-            "analyse: ok — {} gate passed ({} trial(s), CI rule from {} trials, \
-             {:.0}% band fallback)",
-            which,
+            "analyse: ok — {mode:?} gate passed ({} trial(s); {:.0}% band, \
+             CI rule from {} trials)",
             bench_trials.len(),
+            config.tolerance * 100.0,
             config.min_trials,
-            config.band.speedup_tolerance * 100.0
         );
     } else {
         for f in &failures {

@@ -1,7 +1,7 @@
-//! Shared bench-runner plumbing: the `BENCH_*` environment knobs, the
-//! timing/workload helpers the throughput benches previously each carried
-//! a private copy of, and the multi-trial driver behind the `analyse`
-//! regression gate.
+//! The one bench harness every `benches/` target runs on: the `BENCH_*`
+//! environment knobs, shared timing/workload helpers, and the multi-trial
+//! runner whose `BENCH_<id>.json` reports feed the `analyse` regression
+//! gate.
 //!
 //! Environment knobs (all optional):
 //!

@@ -6,20 +6,19 @@
 //! measured or simulated values. One binary per experiment
 //! (`cargo run -p robo-bench --release --bin fig10_single_latency`), plus
 //! `all_experiments`, which runs the whole evaluation and emits the
-//! markdown used for `EXPERIMENTS.md`. Criterion benches for the hot
-//! kernels live under `benches/`.
+//! markdown used for `EXPERIMENTS.md`. The benches under `benches/` all
+//! run on [`harness`] and write `BENCH_<id>.json` reports.
 //!
 //! The perf-study side lives in three modules: [`harness`] (the
 //! `BENCH_QUICK`/`BENCH_TRIALS`/`BENCH_OUT` knobs and shared timing
-//! helpers), [`analyse`] (per-key medians with bootstrap confidence
-//! intervals and the CI-aware regression gate), and [`regression`] (the
-//! single-sample tolerance-band guard the gate falls back to). The
-//! `analyse` and `trace_pipeline` binaries drive them.
+//! helpers), [`report`] (the `BENCH_<id>.json` format and its parser), and
+//! [`analyse`] (per-key medians with bootstrap confidence intervals and
+//! the one regression gate). The `analyse` and `trace_pipeline` binaries
+//! drive them.
 
 #![warn(missing_docs)]
 
 pub mod analyse;
 pub mod experiments;
 pub mod harness;
-pub mod regression;
 pub mod report;

@@ -27,6 +27,12 @@ pub enum ServeError {
     SlotBusy,
     /// The request's dimensions do not match the plan's joint count.
     Dimension(EngineError),
+    /// An input holds NaN or ±∞; `what` names the field (`q`, `qd`,
+    /// `qdd` or `minv`). The kernels would turn it into garbage output.
+    NonFinite {
+        /// The offending request field.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -42,6 +48,7 @@ impl std::fmt::Display for ServeError {
             Self::ShuttingDown => write!(f, "server is shutting down"),
             Self::SlotBusy => write!(f, "response slot already has a request in flight"),
             Self::Dimension(e) => write!(f, "request rejected: {e}"),
+            Self::NonFinite { what } => write!(f, "request rejected: non-finite `{what}`"),
         }
     }
 }

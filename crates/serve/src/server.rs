@@ -124,6 +124,7 @@ impl GradientServer {
     ///
     /// [`ServeError::UnknownMorphology`] (not registered),
     /// [`ServeError::Dimension`] (buffer sizes vs. plan dof),
+    /// [`ServeError::NonFinite`] (NaN or ±∞ in `q`/`qd`/`qdd`/`minv`),
     /// [`ServeError::SlotBusy`] (slot already in flight),
     /// [`ServeError::Overloaded`] (bounded queue full — backpressure),
     /// [`ServeError::ShuttingDown`] (server draining).

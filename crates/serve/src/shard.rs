@@ -112,6 +112,12 @@ impl Shard {
                 req,
             });
         }
+        if let Some(what) = non_finite_field(&req) {
+            return Err(Rejected {
+                error: ServeError::NonFinite { what },
+                req,
+            });
+        }
         if !slot.inner.begin() {
             return Err(Rejected {
                 error: ServeError::SlotBusy,
@@ -322,6 +328,19 @@ fn worker_loop(shard: &Shard) {
             &mut kout,
         );
     }
+}
+
+/// The first request input holding NaN or ±∞, by field name.
+fn non_finite_field(req: &GradientRequest) -> Option<&'static str> {
+    [
+        ("q", req.q.as_slice()),
+        ("qd", &req.qd),
+        ("qdd", &req.qdd),
+        ("minv", req.minv.as_slice()),
+    ]
+    .into_iter()
+    .find(|(_, v)| !v.iter().all(|x| x.is_finite()))
+    .map(|(what, _)| what)
 }
 
 /// Copies state `i`'s SoA blocks into a caller's dense output buffer.

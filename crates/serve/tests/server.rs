@@ -163,6 +163,44 @@ fn rejections_are_typed_and_return_the_buffer() {
 }
 
 #[test]
+fn non_finite_inputs_are_rejected_per_field() {
+    let server = GradientServer::with_config(ServeConfig {
+        workers: 1,
+        backend: BackendKind::Cpu,
+        ..ServeConfig::default()
+    });
+    let key = server.register(&robots::iiwa14());
+    let plan = server.plan(key).unwrap();
+    let slot = ResponseSlot::new();
+    for what in ["q", "qd", "qdd", "minv"] {
+        let mut req = GradientRequest::for_dof(plan.dof());
+        fill_case(&plan, 0, &mut req);
+        match what {
+            "q" => req.q[0] = f64::NAN,
+            "qd" => req.qd[3] = f64::INFINITY,
+            "qdd" => req.qdd[6] = f64::NEG_INFINITY,
+            _ => req.minv[(2, 5)] = f64::NAN,
+        }
+        let rejected = server.submit(key, req, &slot).expect_err(what);
+        assert_eq!(rejected.error, ServeError::NonFinite { what });
+        // The buffer comes back for reuse and the slot stays free.
+        let mut req = rejected.req;
+        fill_case(&plan, 0, &mut req);
+        server
+            .submit(key, req, &slot)
+            .expect("finite input admitted");
+        assert!(slot
+            .wait()
+            .out
+            .dqdd_dq
+            .as_slice()
+            .iter()
+            .all(|x| x.is_finite()));
+    }
+    assert_eq!(server.stats().shed, 0, "a bad input is not overload");
+}
+
+#[test]
 fn coalesced_responses_match_direct_backends() {
     // Pipelined submissions from many slots force multi-request flushes
     // (full and ragged); every response must be bit-identical to a direct
