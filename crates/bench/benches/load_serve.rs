@@ -34,7 +34,7 @@ use robo_model::{robots, RobotModel};
 use robo_serve::{
     GradientRequest, GradientServer, ResponseSlot, ServeConfig, ServeError, ServeStats,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Submits with bounded retry on backpressure (the load generator is the
 /// one client allowed to spin: it *wants* to find the saturation point).
@@ -81,10 +81,6 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
 fn closed_loop_latency(robot: &RobotModel, clients: usize, per_client: usize) -> (f64, f64) {
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
-        // Short linger: closed-loop clients rarely fill a whole batch, so
-        // the deadline, not batch-full, paces most flushes — keep the
-        // latency it adds small against the kernel itself.
-        max_linger: Duration::from_micros(20),
         ..ServeConfig::default()
     });
     let key = server.register(robot);
@@ -138,7 +134,6 @@ fn saturated_ns_per_request(
     let server = GradientServer::with_config(ServeConfig {
         workers: 1,
         lane_groups_per_flush: lane_groups,
-        max_linger: Duration::from_micros(50),
         queue_capacity: 2 * window + 8,
         ..ServeConfig::default()
     });

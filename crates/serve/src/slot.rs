@@ -4,6 +4,7 @@
 use robo_dynamics::engine::{GradientOutput, KernelKind};
 use robo_spatial::MatN;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// One kernel evaluation point plus its output buffers, owned by the
 /// client and lent to the server for the duration of a request.
@@ -160,36 +161,47 @@ impl ResponseSlot {
     /// Panics if called with no request in flight — that is a client
     /// protocol bug, not a runtime condition.
     pub fn wait(&self) -> GradientRequest {
-        let mut st = self.inner.lock();
-        loop {
-            match &*st {
-                SlotState::Done(_) => {
-                    let SlotState::Done(req) = std::mem::replace(&mut *st, SlotState::Idle) else {
-                        unreachable!("matched Done above");
-                    };
-                    return req;
-                }
-                SlotState::Pending => {
-                    st = self.inner.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                SlotState::Idle => panic!("ResponseSlot::wait with no request in flight"),
-            }
-        }
+        let st = self
+            .inner
+            .cv
+            .wait_while(self.inner.lock(), |st| matches!(st, SlotState::Pending))
+            .unwrap_or_else(|p| p.into_inner());
+        take_done(st).expect("ResponseSlot::wait with no request in flight")
+    }
+
+    /// [`wait`](Self::wait) bounded by `timeout`: the buffer if the
+    /// response arrives in time, else `None` with the request still in
+    /// flight, so a later `wait`, `wait_timeout` or `try_take` still
+    /// collects it. Like [`try_take`](Self::try_take), it returns `None`
+    /// at once on an idle slot.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<GradientRequest> {
+        let (st, _) = self
+            .inner
+            .cv
+            .wait_timeout_while(self.inner.lock(), timeout, |st| {
+                matches!(st, SlotState::Pending)
+            })
+            .unwrap_or_else(|p| p.into_inner());
+        take_done(st)
     }
 
     /// Non-blocking variant of [`wait`](Self::wait): returns the buffer if
     /// the response is ready, `None` while pending or idle.
     pub fn try_take(&self) -> Option<GradientRequest> {
-        let mut st = self.inner.lock();
-        if matches!(*st, SlotState::Done(_)) {
-            let SlotState::Done(req) = std::mem::replace(&mut *st, SlotState::Idle) else {
-                unreachable!("matched Done above");
-            };
-            Some(req)
-        } else {
-            None
-        }
+        take_done(self.inner.lock())
     }
+}
+
+/// Done → Idle, handing the buffer out; any other state is left as is
+/// (checked first, so polling a pending slot moves no buffer).
+fn take_done(mut st: MutexGuard<'_, SlotState>) -> Option<GradientRequest> {
+    if !matches!(*st, SlotState::Done(_)) {
+        return None;
+    }
+    let SlotState::Done(req) = std::mem::replace(&mut *st, SlotState::Idle) else {
+        unreachable!("matched Done above");
+    };
+    Some(req)
 }
 
 impl Default for ResponseSlot {
@@ -209,6 +221,8 @@ mod tests {
         assert!(slot.try_take().is_none());
         for turn in 0..3 {
             assert!(slot.inner.begin());
+            // A timed-out wait leaves the request in flight for `wait`.
+            assert!(slot.wait_timeout(Duration::from_millis(1)).is_none());
             assert!(slot.is_pending());
             assert!(!slot.inner.begin(), "busy slot must refuse a second begin");
             let mut req = GradientRequest::for_dof(2);
@@ -234,15 +248,21 @@ mod tests {
     #[test]
     fn wait_crosses_threads() {
         let slot = ResponseSlot::new();
-        assert!(slot.inner.begin());
-        let inner = Arc::clone(&slot.inner);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            inner.fulfil(GradientRequest::for_dof(3));
-        });
-        let req = slot.wait();
-        assert_eq!(req.q.len(), 3);
-        t.join().unwrap();
+        for timed in [false, true] {
+            assert!(slot.inner.begin());
+            let inner = Arc::clone(&slot.inner);
+            let t = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                inner.fulfil(GradientRequest::for_dof(3));
+            });
+            let req = match timed {
+                true => slot.wait_timeout(Duration::from_secs(60)).expect("in time"),
+                false => slot.wait(),
+            };
+            assert_eq!(req.q.len(), 3);
+            assert!(!slot.is_pending());
+            t.join().unwrap();
+        }
     }
 
     #[test]

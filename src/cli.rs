@@ -453,7 +453,7 @@ fn check_body(
 }
 
 /// `robomorphic serve <robot> [--backend B] [--tier T] [--kernel K]
-/// [--clients C] [--requests N] [--linger-us L]` — spin up the in-process
+/// [--clients C] [--requests N]` — spin up the in-process
 /// kernel-serving tier and drive it with a closed-loop load generator:
 /// `C` client threads each performing `N` submit→wait round trips of the
 /// chosen family kernel through the morphology-keyed plan cache and
@@ -463,7 +463,6 @@ fn check_body(
 /// # Errors
 ///
 /// Propagates loading failures.
-#[allow(clippy::too_many_arguments)]
 pub fn cmd_serve(
     source: &str,
     kind: robo_sim::BackendKind,
@@ -471,7 +470,6 @@ pub fn cmd_serve(
     kernel: robo_dynamics::engine::KernelKind,
     clients: usize,
     requests: usize,
-    linger: std::time::Duration,
 ) -> Result<String, CliError> {
     use robo_dynamics::engine::KernelKind;
     use robo_serve::{GradientRequest, GradientServer, ResponseSlot, ServeConfig};
@@ -482,7 +480,6 @@ pub fn cmd_serve(
     let server = GradientServer::with_config(ServeConfig {
         backend: kind,
         tier: Some(tier),
-        max_linger: linger,
         queue_capacity: (4 * clients).max(64),
         ..ServeConfig::default()
     });
@@ -541,7 +538,7 @@ pub fn cmd_serve(
             .collect()
     });
     let wall = start.elapsed();
-    let stats = server.stats();
+    let (stats, workers) = (server.stats(), server.config().resolved_workers());
     drop(server);
 
     latencies_ns.sort_unstable();
@@ -560,9 +557,7 @@ pub fn cmd_serve(
     );
     let _ = writeln!(
         out,
-        "  {clients} client(s) x {requests} round trip(s), linger {} us, {} worker(s)",
-        linger.as_micros(),
-        server_workers(),
+        "  {clients} client(s) x {requests} round trip(s), {workers} worker(s)",
     );
     let _ = writeln!(
         out,
@@ -579,10 +574,6 @@ pub fn cmd_serve(
     Ok(out)
 }
 
-fn server_workers() -> usize {
-    robo_serve::ServeConfig::default().resolved_workers()
-}
-
 /// The usage string.
 pub fn usage() -> &'static str {
     "robomorphic — morphology-parameterized accelerator toolchain
@@ -594,7 +585,7 @@ USAGE:
     robomorphic check     <robot> [--backend B] [--tier T] [--kernel K]
                           [--trace F]               validate model & dynamics
     robomorphic serve     <robot> [--backend B] [--tier T] [--kernel K]
-                          [--clients C] [--requests N] [--linger-us L]
+                          [--clients C] [--requests N]
                                                     drive the kernel-serving
                                                     tier with a closed-loop
                                                     load generator
@@ -624,11 +615,17 @@ gradient spot-check) and writes it to F as Chrome-trace JSON — open it in
 Perfetto (ui.perfetto.dev) or chrome://tracing.
 
 serve coalesces the clients' concurrent requests into wide lane-group
-batches (flushing on batch-full or after --linger-us microseconds,
-default 200) and reports p50/p99 latency, throughput, and the
-coalescing/backpressure counters. Defaults: --clients 4, --requests 64,
---backend accel.
+batches (a free worker flushes whatever is queued, up to a full batch)
+and reports p50/p99 latency, throughput, and the coalescing/backpressure
+counters. Defaults: --clients 4, --requests 64, --backend accel.
 "
+}
+
+/// The value after flag `rest[*i]`, advancing `i` past it.
+fn flag_value<'r>(rest: &'r [String], i: &mut usize, flag: &str) -> Result<&'r String, CliError> {
+    *i += 1;
+    rest.get(*i)
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
 }
 
 /// Dispatches a command line (without the program name).
@@ -644,6 +641,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [cmd, source, flag, dir] if cmd == "customize" && flag == "--verilog-dir" => {
             cmd_customize(source, Some(dir))
         }
+        [cmd, _, flag] if cmd == "customize" && flag == "--verilog-dir" => {
+            Err(CliError::Usage("--verilog-dir needs a value".to_owned()))
+        }
         [cmd, source, dest] if cmd == "convert" => cmd_convert(source, dest),
         [cmd, rest @ ..] if cmd == "check" && !rest.is_empty() => {
             let mut source: Option<&str> = None;
@@ -651,15 +651,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut tier = robo_spatial::ExecTier::detect();
             let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
             let mut trace_out: Option<&str> = None;
-            fn flag_value<'r>(
-                rest: &'r [String],
-                i: &mut usize,
-                flag: &str,
-            ) -> Result<&'r String, CliError> {
-                *i += 1;
-                rest.get(*i)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-            }
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
@@ -701,17 +692,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut kernel = robo_dynamics::engine::KernelKind::Gradient;
             let mut clients = 4usize;
             let mut requests = 64usize;
-            let mut linger_us = 200u64;
-            fn flag_value<'r>(
-                rest: &'r [String],
-                i: &mut usize,
-                flag: &str,
-            ) -> Result<&'r String, CliError> {
-                *i += 1;
-                rest.get(*i)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-            }
-            fn parse_count(value: &str, flag: &str) -> Result<u64, CliError> {
+            fn parse_count(value: &str, flag: &str) -> Result<usize, CliError> {
                 value
                     .parse()
                     .map_err(|_| CliError::Usage(format!("{flag} needs a number, got `{value}`")))
@@ -735,17 +716,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             .map_err(CliError::Usage)?;
                     }
                     "--clients" => {
-                        clients = parse_count(flag_value(rest, &mut i, "--clients")?, "--clients")?
-                            as usize;
+                        clients = parse_count(flag_value(rest, &mut i, "--clients")?, "--clients")?;
                     }
                     "--requests" => {
                         requests =
-                            parse_count(flag_value(rest, &mut i, "--requests")?, "--requests")?
-                                as usize;
-                    }
-                    "--linger-us" => {
-                        linger_us =
-                            parse_count(flag_value(rest, &mut i, "--linger-us")?, "--linger-us")?;
+                            parse_count(flag_value(rest, &mut i, "--requests")?, "--requests")?;
                     }
                     flag if flag.starts_with("--") => {
                         return Err(CliError::Usage(format!("unknown serve flag `{flag}`")));
@@ -760,15 +735,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let Some(source) = source else {
                 return Err(CliError::Usage("serve needs a <robot>".to_owned()));
             };
-            cmd_serve(
-                source,
-                kind,
-                tier,
-                kernel,
-                clients,
-                requests,
-                std::time::Duration::from_micros(linger_us),
-            )
+            cmd_serve(source, kind, tier, kernel, clients, requests)
         }
         _ => Err(CliError::Usage(usage().to_owned())),
     }

@@ -340,7 +340,6 @@ fn workspace_kernels_are_allocation_free_after_warmup() {
             robomorphic::serve::GradientServer::with_config(robomorphic::serve::ServeConfig {
                 workers: 1,
                 backend: kind,
-                max_linger: std::time::Duration::from_micros(20),
                 ..Default::default()
             });
         let key = server.register(&robot);

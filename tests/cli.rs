@@ -217,6 +217,11 @@ fn bad_inputs_are_reported() {
         cli::run(&["frobnicate".to_owned()]),
         Err(CliError::Usage(_))
     ));
+    let args = ["customize", "iiwa14", "--verilog-dir"].map(str::to_owned);
+    match cli::run(&args) {
+        Err(CliError::Usage(msg)) => assert_eq!(msg, "--verilog-dir needs a value"),
+        other => panic!("expected usage error, got {other:?}"),
+    }
     assert!(cli::usage().contains("robomorphic"));
 }
 
@@ -237,8 +242,6 @@ fn serve_runs_a_closed_loop_load() {
         "2",
         "--requests",
         "6",
-        "--linger-us",
-        "50",
     ]
     .map(str::to_owned)
     .into();
@@ -265,5 +268,10 @@ fn serve_rejects_bad_flags() {
         run(&["serve", "--clients", "2"]),
         Err(CliError::Usage(_))
     ));
+    // The batcher is work-conserving; there is no linger to tune.
+    match run(&["serve", "iiwa14", "--linger-us", "50"]) {
+        Err(CliError::Usage(msg)) => assert_eq!(msg, "unknown serve flag `--linger-us`"),
+        other => panic!("expected usage error, got {other:?}"),
+    }
     assert!(cli::usage().contains("robomorphic serve"));
 }
